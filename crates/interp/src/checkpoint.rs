@@ -4,26 +4,28 @@
 //! started from, so the supervisor must be able to roll back whatever a
 //! failed attempt half-wrote. Snapshotting all of memory would work but
 //! scales with the footprint, not the damage; instead the checkpoint
-//! reuses the access-trace machinery ([`crate::trace`]): because every
-//! subscript and guard in the IR is affine in loop indices and symbolic
-//! constants — never data-dependent — the set of cells a schedule can
-//! write is computable *without* running the real execution, by
-//! replaying the work events against a scratch memory with a tracer
-//! attached. The checkpoint stores pre-images of exactly that write
-//! set (plus every scalar — they are few and cheap), so
-//! [`Checkpoint::rollback`] restores the live-in state bit-for-bit.
+//! stores pre-images of exactly the schedule's write set (plus every
+//! scalar — they are few and cheap), so [`Checkpoint::rollback`]
+//! restores the live-in state bit-for-bit.
+//!
+//! The write set is computable *without* running the real execution:
+//! every subscript, loop bound, guard and owner function in the IR is
+//! affine in loop indices and symbolic constants — never
+//! data-dependent — so which cells a work event writes does not depend
+//! on the values in memory. The capture walks the schedule's lowered
+//! form ([`crate::lower`]) for every work event and processor, marking
+//! each shared left-hand cell in a per-array bitset; it evaluates no
+//! right-hand side, reads nothing and allocates no scratch memory.
 //!
 //! Privatizable (per-processor) arrays are deliberately excluded:
 //! privatizable means written-before-read within the schedule, so a
 //! retry can never observe an abandoned attempt's leftovers there.
 
-use crate::events::{exec_work, Event};
+use crate::events::Event;
+use crate::lower::Lowered;
 use crate::mem::Mem;
-use crate::trace::{AccessKind, Target, TraceBuffer};
 use analysis::Bindings;
 use ir::{ArrayId, Program};
-use std::collections::BTreeSet;
-use std::sync::Arc;
 
 /// Pre-images of every shared cell a schedule's event list can write.
 pub struct Checkpoint {
@@ -35,32 +37,21 @@ pub struct Checkpoint {
 }
 
 impl Checkpoint {
-    /// Capture the pre-images of `events`' write set from `mem`.
-    ///
-    /// The write set is derived by executing every work event for every
-    /// processor against a scratch memory with an access tracer — legal
-    /// in any order precisely because access sets are value-independent
-    /// (see the module docs). `mem` itself is only read.
+    /// Capture the pre-images of `events`' write set from `mem` (which
+    /// is only read).
     pub fn capture(prog: &Program, bind: &Bindings, events: &[Event], mem: &Mem) -> Checkpoint {
-        let tracer = Arc::new(TraceBuffer::new());
-        let scratch = Mem::new(prog, bind).with_tracer(Arc::clone(&tracer));
-        let nprocs = bind.nprocs as usize;
-        for ev in events {
-            if matches!(ev, Event::Work { .. } | Event::SerialWork { .. }) {
-                for pid in 0..nprocs {
-                    exec_work(prog, bind, &scratch, pid, nprocs, ev);
-                }
-            }
-        }
-        let mut written = BTreeSet::new();
-        for a in tracer.drain() {
-            if matches!(a.kind, AccessKind::Write | AccessKind::Reduce) {
-                if let Target::Elem(arr, off) = a.target {
-                    written.insert((arr, off));
-                }
-            }
-        }
-        let elems = written
+        Self::capture_lowered(prog, &Lowered::new(prog, bind, events), events, mem)
+    }
+
+    /// As [`Checkpoint::capture`], over `events` already lowered.
+    pub(crate) fn capture_lowered(
+        prog: &Program,
+        low: &Lowered,
+        events: &[Event],
+        mem: &Mem,
+    ) -> Checkpoint {
+        let elems = low
+            .write_set(events)
             .into_iter()
             .map(|(arr, off)| (arr, off, mem.array(arr).get_linear(off as usize).to_bits()))
             .collect();

@@ -44,9 +44,10 @@
 
 use crate::checkpoint::Checkpoint;
 use crate::events::unroll;
+use crate::lower::Lowered;
 use crate::mem::Mem;
 use crate::par::ObserveOptions;
-use crate::recover::{run_parallel_recovering, RecoveryOutcome};
+use crate::recover::{recover_unrolled, run_parallel_recovering, RecoveryOutcome};
 use crate::run_sequential;
 use analysis::Bindings;
 use ir::Program;
@@ -196,8 +197,11 @@ pub fn run_parallel_degrading(
     // One write-set checkpoint for every rung: the union of owned
     // iterations is the whole iteration space at any team width, so
     // the original plan's schedule names the complete write set.
-    let events = unroll(prog, bind, plan);
-    let outer = Checkpoint::capture(prog, bind, &events, mem);
+    // The widest round runs the caller's plan at the caller's width, so
+    // it shares this unroll and lowering with the entry checkpoint.
+    let events = Arc::new(unroll(prog, bind, plan));
+    let low = Arc::new(Lowered::new(prog, bind, &events));
+    let outer = Checkpoint::capture_lowered(prog, &low, &events, mem);
     let nprocs_initial = bind.nprocs as usize;
     let mut k = nprocs_initial;
     let mut procs_lost = 0usize;
@@ -209,10 +213,22 @@ pub fn run_parallel_degrading(
     let mut cur_plan: Option<SpmdProgram> = None;
     let mut cur_team: Option<Team> = None;
     loop {
-        let round_plan = cur_plan.as_ref().unwrap_or(plan);
-        let round_team = cur_team.as_ref().unwrap_or(team);
-        let r =
-            run_parallel_recovering(prog, &cur_bind, round_plan, mem, round_team, opts, &policy);
+        let r = match (&cur_plan, &cur_team) {
+            (Some(round_plan), Some(round_team)) => {
+                run_parallel_recovering(prog, &cur_bind, round_plan, mem, round_team, opts, &policy)
+            }
+            _ => recover_unrolled(
+                prog,
+                bind,
+                plan,
+                Arc::clone(&events),
+                &low,
+                mem,
+                team,
+                opts,
+                &policy,
+            ),
+        };
         total_stats.merge(&r.total_stats);
         let ok = r.ok();
         let lost = r.lost_pid;

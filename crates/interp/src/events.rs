@@ -7,6 +7,7 @@
 //! owner functions.
 
 use crate::eval::{exec_node, exec_subtree_seq, try_eval_affine, Env, RedAcc};
+use crate::lower::Lowered;
 use crate::mem::Mem;
 use analysis::{Bindings, LoopPartition};
 use ineq::rational::{div_ceil, div_floor};
@@ -169,15 +170,22 @@ fn unroll_items(
     slot
 }
 
-/// Execute one work event as processor `pid` of `nprocs`.
+/// Execute one work event as processor `pid`.
+///
+/// An untraced `mem` runs `low`, the event list's lowered form (see
+/// [`crate::lower`]); a traced `mem` runs the tree-walker, which records
+/// every shared access. Both write bitwise-identical memory.
 pub fn exec_work(
     prog: &Program,
     bind: &Bindings,
+    low: &Lowered,
     mem: &Mem,
     pid: usize,
-    _nprocs: usize,
     ev: &Event,
 ) {
+    if !mem.traced() {
+        return low.exec(mem, pid, ev);
+    }
     match ev {
         Event::SerialWork { node, env } => {
             if pid == 0 {
@@ -207,13 +215,105 @@ pub fn exec_work(
     }
 }
 
-/// Iterations of `[lo, hi]` owned by `pid` when the owner subscript is
-/// affine in the phase loop with everything else already bound: returns
-/// a contiguous range, a strided range, or `None` (fall back to
-/// scanning).
-enum OwnedIter {
+/// Iterations of `[lo, hi]` one processor owns, when its owner subscript
+/// is affine in the phase loop with everything else known: a contiguous
+/// or a strided range.
+pub(crate) enum OwnedIter {
     Range(i64, i64),
     Strided { start: i64, step: i64, hi: i64 },
+}
+
+impl OwnedIter {
+    /// Block partition of the index space from `plo` in blocks of
+    /// `block`.
+    pub(crate) fn block_index(plo: i64, block: i64, lo: i64, hi: i64, pid: i64) -> OwnedIter {
+        let a = (plo + pid * block).max(lo);
+        let b = (plo + (pid + 1) * block - 1).min(hi);
+        OwnedIter::Range(a, b)
+    }
+
+    /// Block owner of subscript `a·i + r`.
+    pub(crate) fn block_owner(
+        a: i64,
+        r: i64,
+        block: i64,
+        nprocs: i64,
+        lo: i64,
+        hi: i64,
+        pid: i64,
+    ) -> OwnedIter {
+        if a == 0 {
+            // Owner is iteration-independent: one processor runs the
+            // whole phase (the pipelining shape).
+            let owner = (r / block).clamp(0, nprocs - 1);
+            return if owner == pid {
+                OwnedIter::Range(lo, hi)
+            } else {
+                OwnedIter::Range(lo, lo - 1)
+            };
+        }
+        // pid*block <= a*i + r <= pid*block + block - 1
+        let lo_own = pid * block - r;
+        let hi_own = pid * block + block - 1 - r;
+        let (mut ilo, mut ihi) = if a > 0 {
+            (
+                div_ceil(lo_own as i128, a as i128),
+                div_floor(hi_own as i128, a as i128),
+            )
+        } else {
+            (
+                div_ceil(hi_own as i128, a as i128),
+                div_floor(lo_own as i128, a as i128),
+            )
+        };
+        ilo = ilo.max(lo as i128);
+        ihi = ihi.min(hi as i128);
+        OwnedIter::Range(ilo as i64, ihi as i64)
+    }
+
+    /// Cyclic owner of subscript `a·i + r`; `None` unless `|a| <= 1`.
+    pub(crate) fn cyclic_owner(
+        a: i64,
+        r: i64,
+        nprocs: i64,
+        lo: i64,
+        hi: i64,
+        pid: i64,
+    ) -> Option<OwnedIter> {
+        if a == 0 {
+            let owner = r.rem_euclid(nprocs);
+            return Some(if owner == pid {
+                OwnedIter::Range(lo, hi)
+            } else {
+                OwnedIter::Range(lo, lo - 1)
+            });
+        }
+        if a.abs() != 1 {
+            return None;
+        }
+        // (a*i + r) mod P == pid  =>  i ≡ a*(pid - r) (mod P)
+        let residue = (a * (pid - r)).rem_euclid(nprocs);
+        let start = lo + (residue - lo).rem_euclid(nprocs);
+        Some(OwnedIter::Strided {
+            start,
+            step: nprocs,
+            hi,
+        })
+    }
+
+    /// Visit the owned iterations in increasing order.
+    pub(crate) fn for_each(self, mut f: impl FnMut(i64)) {
+        match self {
+            OwnedIter::Range(a, b) => (a..=b).for_each(f),
+            OwnedIter::Strided { start, step, hi } => {
+                let mut i = start;
+                while i <= hi {
+                    f(i);
+                    i += step;
+                }
+            }
+        }
+    }
 }
 
 fn owned_fast_path(
@@ -225,78 +325,41 @@ fn owned_fast_path(
     hi: i64,
     pid: i64,
 ) -> Option<OwnedIter> {
+    // The owner subscript without the phase loop's term.
+    let split = |sub: &ir::Affine| {
+        let mut rest = sub.clone();
+        rest.set_coeff(AffAtom::Loop(loop_id), 0);
+        Some((
+            sub.coeff(AffAtom::Loop(loop_id)),
+            try_eval_affine(bind, env, &rest)?,
+        ))
+    };
     match partition {
         LoopPartition::BlockIndex { lo: plo, block, .. } => {
-            let a = (plo + pid * block).max(lo);
-            let b = (plo + (pid + 1) * block - 1).min(hi);
-            Some(OwnedIter::Range(a, b))
+            Some(OwnedIter::block_index(*plo, *block, lo, hi, pid))
         }
         LoopPartition::BlockOwner { block, sub, .. } => {
-            let a = sub.coeff(AffAtom::Loop(loop_id));
-            let mut rest = sub.clone();
-            rest.set_coeff(AffAtom::Loop(loop_id), 0);
-            let r = try_eval_affine(bind, env, &rest)?;
-            if a == 0 {
-                // Owner is iteration-independent: one processor runs the
-                // whole phase (the pipelining shape).
-                let owner = (r / block).clamp(0, bind.nprocs - 1);
-                return Some(if owner == pid {
-                    OwnedIter::Range(lo, hi)
-                } else {
-                    OwnedIter::Range(lo, lo - 1)
-                });
-            }
-            // pid*block <= a*i + r <= pid*block + block - 1
-            let lo_own = pid * block - r;
-            let hi_own = pid * block + block - 1 - r;
-            let (mut ilo, mut ihi) = if a > 0 {
-                (
-                    div_ceil(lo_own as i128, a as i128),
-                    div_floor(hi_own as i128, a as i128),
-                )
-            } else {
-                (
-                    div_ceil(hi_own as i128, a as i128),
-                    div_floor(lo_own as i128, a as i128),
-                )
-            };
-            ilo = ilo.max(lo as i128);
-            ihi = ihi.min(hi as i128);
-            Some(OwnedIter::Range(ilo as i64, ihi as i64))
+            let (a, r) = split(sub)?;
+            Some(OwnedIter::block_owner(
+                a,
+                r,
+                *block,
+                bind.nprocs,
+                lo,
+                hi,
+                pid,
+            ))
         }
         LoopPartition::CyclicOwner { sub, .. } => {
-            let a = sub.coeff(AffAtom::Loop(loop_id));
-            let mut rest = sub.clone();
-            rest.set_coeff(AffAtom::Loop(loop_id), 0);
-            let r = try_eval_affine(bind, env, &rest)?;
-            let p = nprocs_of(bind);
-            if a == 0 {
-                let owner = r.rem_euclid(p);
-                return Some(if owner == pid {
-                    OwnedIter::Range(lo, hi)
-                } else {
-                    OwnedIter::Range(lo, lo - 1)
-                });
-            }
-            if a.abs() != 1 {
-                return None;
-            }
-            // (a*i + r) mod P == pid  =>  i ≡ a*(pid - r) (mod P)
-            let residue = (a * (pid - r)).rem_euclid(p);
-            let start = lo + (residue - lo).rem_euclid(p);
-            Some(OwnedIter::Strided { start, step: p, hi })
+            let (a, r) = split(sub)?;
+            OwnedIter::cyclic_owner(a, r, bind.nprocs, lo, hi, pid)
         }
-        LoopPartition::BlockCyclicOwner { .. } => {
-            // Strided-block ranges are possible but fiddly; the scan
-            // path evaluates owners per iteration instead.
-            None
-        }
-        LoopPartition::SymbolicBlockOwner { .. } | LoopPartition::Unknown => None,
+        // Strided-block ranges are possible but fiddly; the scan path
+        // evaluates owners per iteration instead.
+        LoopPartition::BlockCyclicOwner { .. }
+        | LoopPartition::SymbolicBlockOwner { .. }
+        | LoopPartition::Unknown => None,
     }
-}
-
-fn nprocs_of(bind: &Bindings) -> i64 {
-    bind.nprocs
 }
 
 fn exec_par_phase(
@@ -332,20 +395,7 @@ fn exec_par_phase(
             }
         }
     } else if let Some(iter) = owned_fast_path(bind, env, partition, l.id, lo, hi, pid as i64) {
-        match iter {
-            OwnedIter::Range(a, b) => {
-                for i in a..=b {
-                    run_iter(i, env, &mut red);
-                }
-            }
-            OwnedIter::Strided { start, step, hi } => {
-                let mut i = start;
-                while i <= hi {
-                    run_iter(i, env, &mut red);
-                    i += step;
-                }
-            }
-        }
+        iter.for_each(|i| run_iter(i, env, &mut red));
     } else {
         // Scan mode: try loop-level ownership first; if the owner
         // subscript needs inner loop indices, fall back to a
@@ -627,11 +677,12 @@ mod tests {
         let bind = Bindings::new(4).set(n, 16);
         let plan = optimize(&prog, &bind);
         let events = unroll(&prog, &bind, &plan);
+        let low = Lowered::new(&prog, &bind, &events);
         // Execute only pid 2's work; elements 8..11 get written.
         let mem = Mem::new(&prog, &bind);
         for ev in &events {
             if matches!(ev, Event::Work { .. }) {
-                exec_work(&prog, &bind, &mem, 2, 4, ev);
+                exec_work(&prog, &bind, &low, &mem, 2, ev);
             }
         }
         for k in 0..16i64 {
@@ -652,10 +703,11 @@ mod tests {
         let bind = Bindings::new(4).set(n, 16);
         let plan = optimize(&prog, &bind);
         let events = unroll(&prog, &bind, &plan);
+        let low = Lowered::new(&prog, &bind, &events);
         let mem = Mem::new(&prog, &bind);
         for ev in &events {
             if matches!(ev, Event::Work { .. }) {
-                exec_work(&prog, &bind, &mem, 1, 4, ev);
+                exec_work(&prog, &bind, &low, &mem, 1, ev);
             }
         }
         for k in 0..16i64 {
@@ -669,6 +721,7 @@ mod tests {
         let (prog, bind) = sweep();
         let plan = optimize(&prog, &bind);
         let events = unroll(&prog, &bind, &plan);
+        let low = Lowered::new(&prog, &bind, &events);
         let mem = Mem::new(&prog, &bind);
         let a = ir::ArrayId(0);
         mem.fill(a, |s| (s[0] * s[0]) as f64);
@@ -678,7 +731,7 @@ mod tests {
         for ev in &events {
             if matches!(ev, Event::Work { .. }) {
                 for pid in 0..4 {
-                    exec_work(&prog, &bind, &mem, pid, 4, ev);
+                    exec_work(&prog, &bind, &low, &mem, pid, ev);
                 }
             }
         }

@@ -48,6 +48,7 @@ pub mod checkpoint;
 pub mod degrade;
 pub mod eval;
 pub mod events;
+pub mod lower;
 pub mod mem;
 pub mod par;
 pub mod recover;
@@ -57,6 +58,7 @@ pub mod virt;
 pub use checkpoint::Checkpoint;
 pub use degrade::{run_parallel_degrading, DegradeOutcome, DegradeRound, DegradeRung};
 pub use events::{render_events, unroll, Event};
+pub use lower::Lowered;
 pub use mem::Mem;
 pub use par::{
     run_parallel, run_parallel_observed, run_parallel_observed_on, run_parallel_with, BarrierKind,
@@ -69,10 +71,20 @@ pub use virt::{run_virtual, run_virtual_traced, ScheduleOrder, VirtualOutcome};
 use analysis::Bindings;
 use ir::Program;
 
-/// Execute the program with its original sequential semantics.
+/// Execute the program with its original sequential semantics: each
+/// top-level statement as master-only serial work, lowered unless `mem`
+/// is traced (see [`events::exec_work`]).
 pub fn run_sequential(prog: &Program, bind: &Bindings, mem: &Mem) {
-    let mut env = eval::Env::new(prog);
-    for &node in &prog.body {
-        eval::exec_subtree_seq(prog, bind, mem, &mut env, node, 0);
+    let events: Vec<Event> = prog
+        .body
+        .iter()
+        .map(|&node| Event::SerialWork {
+            node,
+            env: Vec::new(),
+        })
+        .collect();
+    let low = Lowered::new(prog, bind, &events);
+    for ev in &events {
+        events::exec_work(prog, bind, &low, mem, 0, ev);
     }
 }

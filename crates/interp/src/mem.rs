@@ -149,6 +149,13 @@ impl Mem {
         self
     }
 
+    /// True when an access tracer is attached (the executors then run the
+    /// tree-walker, which records every access, instead of lowered code).
+    #[inline]
+    pub(crate) fn traced(&self) -> bool {
+        self.tracer.is_some()
+    }
+
     /// Record one access if a tracer is attached (called by the
     /// evaluator at every shared memory touch).
     #[inline]

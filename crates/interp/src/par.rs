@@ -11,6 +11,7 @@
 //! guards catch what they claim to catch.
 
 use crate::events::{exec_work, producer_pid, unroll, DynCounts, Event};
+use crate::lower::Lowered;
 use crate::mem::Mem;
 use analysis::Bindings;
 use ir::Program;
@@ -22,7 +23,7 @@ use runtime::{
     BarrierEpoch, CentralBarrier, Counters, NeighborFlags, PairwiseCells, SpinPolicy, SyncStats,
     Team, TreeBarrier,
 };
-use spmd_opt::{SpmdProgram, SyncOp};
+use spmd_opt::{RItem, SpmdProgram, SyncOp, TopItem};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -170,31 +171,32 @@ impl SyncFabric {
         self.profiler.as_ref()
     }
 
-    /// A fabric sized for `plan`'s unrolled events.
+    /// A fabric for `bind.nprocs` processors sized for `plan`'s counter
+    /// ids (see [`SyncFabric::for_plan_with`]).
     pub fn for_plan(
         kind: BarrierKind,
-        prog: &Program,
+        _prog: &Program,
         bind: &Bindings,
         plan: &SpmdProgram,
     ) -> Self {
-        let events = unroll(prog, bind, plan);
-        SyncFabric::new(kind, bind.nprocs as usize, max_counter_id(&events))
+        SyncFabric::new(kind, bind.nprocs as usize, counter_bank(plan))
     }
 
-    /// A fabric sized for `plan`'s unrolled events, honoring the full
-    /// tuning surface of `opts` (barrier kind, spin policy, tree
-    /// fan-in).
+    /// A fabric for `bind.nprocs` processors honoring the full tuning
+    /// surface of `opts` (barrier kind, spin policy, tree fan-in). The
+    /// counter bank is sized from the counter ids placed anywhere in
+    /// `plan` — a walk over its items, no unrolling — which covers every
+    /// counter an unrolling of it can visit.
     pub fn for_plan_with(
         opts: &ObserveOptions,
-        prog: &Program,
+        _prog: &Program,
         bind: &Bindings,
         plan: &SpmdProgram,
     ) -> Self {
-        let events = unroll(prog, bind, plan);
         let fabric = SyncFabric::tuned(
             opts.barrier,
             bind.nprocs as usize,
-            max_counter_id(&events),
+            counter_bank(plan),
             opts.spin.unwrap_or_default(),
             opts.tree_radix,
         );
@@ -381,6 +383,41 @@ impl std::fmt::Debug for ObserveOptions {
     }
 }
 
+/// One past the largest counter id placed anywhere in `plan`.
+fn counter_bank(plan: &SpmdProgram) -> usize {
+    fn op(o: &SyncOp) -> usize {
+        match o {
+            SyncOp::Counter { id, .. } => id + 1,
+            _ => 0,
+        }
+    }
+    fn items(its: &[RItem]) -> usize {
+        its.iter()
+            .map(|it| match it {
+                RItem::Phase(p) => op(&p.after),
+                RItem::Seq {
+                    body,
+                    bottom,
+                    after,
+                    ..
+                } => items(body).max(op(bottom)).max(op(after)),
+            })
+            .max()
+            .unwrap_or(0)
+    }
+    fn top(its: &[TopItem]) -> usize {
+        its.iter()
+            .map(|it| match it {
+                TopItem::SerialStmt(_) => 0,
+                TopItem::MasterLoop { body, .. } => top(body),
+                TopItem::Region(r) => items(&r.items).max(op(&r.end)),
+            })
+            .max()
+            .unwrap_or(0)
+    }
+    top(&plan.items)
+}
+
 fn max_counter_id(events: &[Event]) -> usize {
     let mut n = 0;
     for ev in events {
@@ -525,17 +562,37 @@ pub fn run_parallel_observed_on(
     opts: &ObserveOptions,
     fabric: &SyncFabric,
 ) -> ParallelOutcome {
+    let events = Arc::new(unroll(prog, bind, plan));
+    let low = Arc::new(Lowered::new(prog, bind, &events));
+    run_unrolled(prog, bind, plan, &events, &low, mem, team, opts, fabric)
+}
+
+/// As [`run_parallel_observed_on`], for `plan` already unrolled into
+/// `events` and lowered into `low` (the recovery supervisor shares both
+/// across its checkpoint and every attempt). Unrolling and lowering stay
+/// outside [`ParallelOutcome::elapsed`].
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn run_unrolled(
+    prog: &Arc<Program>,
+    bind: &Arc<Bindings>,
+    plan: &SpmdProgram,
+    events: &Arc<Vec<Event>>,
+    low: &Arc<Lowered>,
+    mem: &Arc<Mem>,
+    team: &Team,
+    opts: &ObserveOptions,
+    fabric: &SyncFabric,
+) -> ParallelOutcome {
     let nprocs = team.nprocs();
     assert_eq!(
         nprocs as i64, bind.nprocs,
         "team size must match the bindings' processor count"
     );
-    let events = Arc::new(unroll(prog, bind, plan));
     assert!(
-        max_counter_id(&events) <= fabric.counters.len(),
+        max_counter_id(events) <= fabric.counters.len(),
         "fabric counter bank too small for this plan"
     );
-    let counts = DynCounts::from_events(&events, nprocs);
+    let counts = DynCounts::from_events(events, nprocs);
     let stats = Arc::clone(&fabric.stats);
     let watchdog = opts.deadline.map(|d| Arc::new(Watchdog::new(d)));
     let telemetry = (opts.telemetry || watchdog.is_some())
@@ -567,7 +624,8 @@ pub fn run_parallel_observed_on(
     let prog2 = Arc::clone(prog);
     let bind2 = Arc::clone(bind);
     let mem2 = Arc::clone(mem);
-    let events2 = Arc::clone(&events);
+    let events2 = Arc::clone(events);
+    let low2 = Arc::clone(low);
     let barrier2 = Arc::clone(&barrier);
     let counters2 = Arc::clone(&counters);
     let flags2 = Arc::clone(&flags);
@@ -613,8 +671,10 @@ pub fn run_parallel_observed_on(
             let mut dispatch_visits = 0u64;
             let mut site_visits = vec![0u64; n_sites];
             let us_of = |t: Instant| t.duration_since(t0).as_micros() as u64;
+            // Only telemetry and spans read an event's start time.
+            let timed = telemetry2.is_some() || spans2.is_some();
             for ev in events2.iter() {
-                let started = Instant::now();
+                let started = timed.then(Instant::now);
                 let cat = match ev {
                     Event::Work { .. } | Event::SerialWork { .. } => SpanCat::Work,
                     Event::Dispatch => SpanCat::Dispatch,
@@ -622,7 +682,7 @@ pub fn run_parallel_observed_on(
                 };
                 match ev {
                     Event::Work { .. } | Event::SerialWork { .. } => {
-                        exec_work(prog, bind, mem, pid, bind.nprocs as usize, ev);
+                        exec_work(prog, bind, &low2, mem, pid, ev);
                     }
                     Event::Dispatch => {
                         dispatch_visits += 1;
@@ -798,7 +858,7 @@ pub fn run_parallel_observed_on(
                                 now,
                             );
                         }
-                        if let Some(t) = &telemetry2 {
+                        if let (Some(t), Some(started)) = (&telemetry2, started) {
                             // Record even a failing wait: the report's
                             // telemetry then shows the deadline-length
                             // block at the faulty site.
@@ -811,7 +871,7 @@ pub fn run_parallel_observed_on(
                         r?;
                     }
                 }
-                if let Some(s) = &spans2 {
+                if let (Some(s), Some(started)) = (&spans2, started) {
                     // Skip eliminated slots: they cost nothing and would
                     // clutter the timeline.
                     if !matches!(

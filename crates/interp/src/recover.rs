@@ -35,10 +35,11 @@
 //! wall-clock).
 
 use crate::checkpoint::Checkpoint;
-use crate::events::unroll;
+use crate::events::{unroll, Event};
+use crate::lower::Lowered;
 use crate::mem::Mem;
 use crate::par::{
-    run_parallel_observed_on, ChaosAction, ObserveOptions, ParallelOutcome, SyncChaos, SyncFabric,
+    run_unrolled, ChaosAction, ObserveOptions, ParallelOutcome, SyncChaos, SyncFabric,
 };
 use analysis::Bindings;
 use ir::Program;
@@ -291,6 +292,27 @@ pub fn run_parallel_recovering(
     opts: &ObserveOptions,
     policy: &RetryPolicy,
 ) -> RecoveryOutcome {
+    let events = Arc::new(unroll(prog, bind, plan));
+    let low = Arc::new(Lowered::new(prog, bind, &events));
+    recover_unrolled(prog, bind, plan, events, &low, mem, team, opts, policy)
+}
+
+/// As [`run_parallel_recovering`], for `plan` already unrolled into
+/// `events` and lowered into `low`: the checkpoint and every attempt
+/// share both. Demotion and probation change only sync ops, never work,
+/// so after a plan change only the events are unrolled again.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn recover_unrolled(
+    prog: &Arc<Program>,
+    bind: &Arc<Bindings>,
+    plan: &SpmdProgram,
+    mut events: Arc<Vec<Event>>,
+    low: &Arc<Lowered>,
+    mem: &Arc<Mem>,
+    team: &Team,
+    opts: &ObserveOptions,
+    policy: &RetryPolicy,
+) -> RecoveryOutcome {
     let deadline = opts
         .deadline
         .expect("run_parallel_recovering needs an armed deadline (opts.deadline)");
@@ -298,8 +320,7 @@ pub fn run_parallel_recovering(
         .into_iter()
         .map(|s| s.label)
         .collect();
-    let events = unroll(prog, bind, plan);
-    let checkpoint = Checkpoint::capture(prog, bind, &events, mem);
+    let checkpoint = Checkpoint::capture_lowered(prog, low, &events, mem);
     let fabric = SyncFabric::for_plan_with(opts, prog, bind, plan);
     // Supervisor-side profile marks go on the extra track past the
     // workers' (index `nprocs`), so they never race a worker's ring.
@@ -331,7 +352,9 @@ pub fn run_parallel_recovering(
         if let Some(m) = &masked {
             aopts.chaos = Some(Arc::clone(m) as Arc<dyn SyncChaos>);
         }
-        let out = run_parallel_observed_on(prog, bind, &working, mem, team, &aopts, &fabric);
+        let out = run_unrolled(
+            prog, bind, &working, &events, low, mem, team, &aopts, &fabric,
+        );
         total_stats.merge(&out.stats);
         let failed = out.failure.is_some();
         let suspect = if failed { infer_suspect(&out) } else { None };
@@ -408,6 +431,7 @@ pub fn run_parallel_recovering(
             }
         }
         let mut actions = Vec::new();
+        let mut replanned = false;
         for &site in &sites_hit {
             let label = site_labels
                 .get(site)
@@ -417,6 +441,7 @@ pub fn run_parallel_recovering(
                 FaultDisposition::Demote => {
                     if let Some(old) = demote_site(&mut working, site) {
                         displaced.insert(site, old);
+                        replanned = true;
                     }
                     demoted.push((site, label.clone()));
                     "demote"
@@ -455,6 +480,7 @@ pub fn run_parallel_recovering(
                 if ledger.record_clean(site, policy.probation_k) {
                     if let Some(op) = displaced.remove(&site) {
                         set_site_op(&mut working, site, op);
+                        replanned = true;
                     }
                     if let Some(m) = &masked {
                         m.unmask(site);
@@ -496,6 +522,9 @@ pub fn run_parallel_recovering(
                 checkpoint.elem_cells() as u64,
             );
             p.record(track, EventKind::Retry, NO_SITE, attempt as u64);
+        }
+        if replanned {
+            events = Arc::new(unroll(prog, bind, &working));
         }
         fabric.reset();
         std::thread::sleep(backoff);

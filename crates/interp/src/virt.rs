@@ -8,6 +8,7 @@
 //! order produce results that differ from the sequential semantics.
 
 use crate::events::{exec_work, producer_pid, unroll, DynCounts, Event};
+use crate::lower::Lowered;
 use crate::mem::Mem;
 use analysis::Bindings;
 use ir::Program;
@@ -121,6 +122,7 @@ fn run_virtual_impl(
 ) -> VirtualOutcome {
     let nprocs = bind.nprocs as usize;
     let events = unroll(prog, bind, plan);
+    let low = Lowered::new(prog, bind, &events);
     let m = events.len();
     let mut ptrs = vec![0usize; nprocs];
     let mut rng = match order {
@@ -162,7 +164,7 @@ fn run_virtual_impl(
             if can_advance(&events, &ptrs, pid, prog, bind) {
                 let i = ptrs[pid];
                 if matches!(events[i], Event::Work { .. } | Event::SerialWork { .. }) {
-                    exec_work(prog, bind, mem, pid, nprocs, &events[i]);
+                    exec_work(prog, bind, &low, mem, pid, &events[i]);
                 }
                 if let Some(buf) = spans.as_deref_mut() {
                     if !matches!(

@@ -30,7 +30,7 @@
 
 use analysis::Bindings;
 use interp::events::{exec_work, producer_pid, unroll};
-use interp::{AccessKind, Event, Mem, Target, TraceBuffer};
+use interp::{AccessKind, Event, Lowered, Mem, Target, TraceBuffer};
 use ir::Program;
 use spmd_opt::{SpmdProgram, SyncOp};
 use std::collections::{BTreeSet, HashMap};
@@ -132,13 +132,17 @@ pub fn validate(prog: &Program, bind: &Bindings, plan: &SpmdProgram) -> RaceRepo
     // Pass 1: per-(event, pid) access sets from a traced replay.
     let tracer = Arc::new(TraceBuffer::new());
     let scratch = Mem::new(prog, bind).with_tracer(Arc::clone(&tracer));
+    // A traced memory runs the tree-walker, so the lowered form goes
+    // unused here; building it costs one pass over the events plus
+    // O(IR nodes).
+    let low = Lowered::new(prog, bind, &events);
     let mut access_sets: Vec<Vec<(usize, Vec<(Target, AccessKind)>)>> =
         Vec::with_capacity(events.len());
     for ev in &events {
         let mut per_event = Vec::new();
         if matches!(ev, Event::Work { .. } | Event::SerialWork { .. }) {
             for pid in 0..nprocs {
-                exec_work(prog, bind, &scratch, pid, nprocs, ev);
+                exec_work(prog, bind, &low, &scratch, pid, ev);
                 let drained = tracer.drain();
                 if !drained.is_empty() {
                     let set: BTreeSet<(Target, AccessKind)> =

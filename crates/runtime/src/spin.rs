@@ -54,10 +54,7 @@ impl SpinPolicy {
     /// yield phase and park late in small slices, so the common case
     /// never sleeps but a stalled wait stops burning the core.
     pub fn auto() -> Self {
-        let cores = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        let spin_limit = if cores > 1 { 64 } else { 4 };
+        let spin_limit = if host_cores() > 1 { 64 } else { 4 };
         SpinPolicy::new(spin_limit, 256, Duration::from_micros(100))
     }
 
@@ -68,6 +65,18 @@ impl SpinPolicy {
     pub const fn eager_park() -> Self {
         SpinPolicy::new(0, 1, Duration::from_micros(50))
     }
+}
+
+/// The host's core count, queried once per process: every primitive's
+/// constructor asks, and `available_parallelism` reads the cgroup and
+/// affinity settings on each call (tens of microseconds on Linux).
+pub(crate) fn host_cores() -> usize {
+    static CORES: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+    *CORES.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+    })
 }
 
 impl Default for SpinPolicy {
